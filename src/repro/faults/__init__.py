@@ -14,6 +14,9 @@ supplies what a production deployment needs around that core:
   virtual clock, with dead-letter accounting;
 * :mod:`~repro.faults.degradation` — BEM bypass and stale-while-revalidate
   fallbacks with per-request cost accounting;
+* :mod:`~repro.faults.runloop` — the one run loop shared by chaos and
+  overload runs (fault tick, gate, serve, recover/bypass/degrade, six
+  outcomes, bucketed accounting);
 * :mod:`~repro.faults.chaos` — a chaos harness that runs the Figure 4
   testbed under a fault schedule and checks every page against the
   no-cache oracle.

@@ -33,7 +33,7 @@ from ..baselines.backend_cache import BackendFragmentCache
 from ..core.bem import BackEndMonitor
 from ..core.dpc import DynamicProxyCache
 from ..core.template import TemplateConfig
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DeliveryTimeoutError, NetworkError
 from ..network import (
     Channel,
     Firewall,
@@ -202,11 +202,10 @@ class Testbed:
         self._hit_rng = random.Random(config.seed + 1)
         self._oracle = self._build_oracle_server()
 
-        #: Injector hook points: callables invoked as ``hook(testbed, index,
-        #: timed)`` before each request is served.  The chaos harness
-        #: (:mod:`repro.faults.chaos`) uses these to fire scheduled faults;
-        #: the testbed itself stays fault-unaware.
-        self.pre_request_hooks: List = []
+        #: Set by ``RunLoop.arm_faults``: retried delivery for both link
+        #: transfers, and the resync that quarantines undelivered SETs.
+        self.delivery = None
+        self.resync = None
 
     def _build_monitor(self, template_config: TemplateConfig):
         config = self.config
@@ -281,8 +280,6 @@ class Testbed:
                 invalidated_at_cut = self._monitor_invalidations()
 
             self.clock.advance_to(timed.at)
-            for hook in self.pre_request_hooks:
-                hook(self, index, timed)
             self._churn_fragments(timed.request)
             start = self.clock.now()
             html = self.serve_once(timed.request)
@@ -338,37 +335,28 @@ class Testbed:
         outer harness already did) and wraps every clock advance in a leaf
         span — firewall scans, link transfers (the channel's own spans),
         origin generation, and proxy-side assembly — so the finished tree
-        tiles the measured virtual response time exactly.
+        tiles the measured virtual response time exactly.  A response
+        transfer that fails even after retries quarantines its SETs.
         """
         config = self.config
         with self.tracer.request_span(request, mode=config.mode) as root:
             request = self.tracer.propagate(request)
-
-            # Request: client -> external -> origin (scanned, measured).
-            with self.tracer.span("firewall.scan", direction="request"):
-                self.clock.advance(self.firewall.scan_bytes(request.payload_bytes))
-            self.origin_link.send(
-                request_message(
-                    request.payload_bytes, source="external", destination="origin"
-                )
-            )
+            self._request_leg(request)
 
             # Origin generates (advances the clock internally).
             response = self.server.handle(request)
 
-            # Response: origin -> external (measured), firewall scan.
-            self.origin_link.send(
-                response_message(
-                    response.payload_bytes,
-                    source="origin",
-                    destination="external",
-                    page=request.url,
-                )
-            )
-            with self.tracer.span("firewall.scan", direction="response"):
-                self.clock.advance(
-                    self.firewall.scan_bytes(response.payload_bytes)
-                )
+            try:
+                self._response_leg(request, response.payload_bytes)
+            except (NetworkError, DeliveryTimeoutError):
+                if self.resync is not None:
+                    # The template never reached the proxy: every SET on it
+                    # is unconfirmed and must be quarantined, or a recycled
+                    # slot could later serve a predecessor fragment's bytes.
+                    self.resync.quarantine_undelivered(
+                        response.body, self.clock.now()
+                    )
+                raise
 
             # Proxy-side processing.
             if self.dpc is None:
@@ -391,6 +379,42 @@ class Testbed:
                 hit=assembled.fragments_get > 0 and assembled.fragments_set == 0
             )
             return assembled.html
+
+    def serve_bypass(self, request: HttpRequest) -> str:
+        """The paper's fallback while the proxy is down: a full uncached page.
+
+        The request and response legs are :meth:`serve_once`'s; the origin
+        renders the page with caching disabled and ships every byte of it.
+        """
+        self._request_leg(request)
+        html = self.render_oracle(request)
+        self._response_leg(request, len(html.encode("utf-8")), bypass=True)
+        return html
+
+    def _request_leg(self, request: HttpRequest) -> None:
+        """Client -> external -> origin: firewall scan, then the link."""
+        with self.tracer.span("firewall.scan", direction="request"):
+            self.clock.advance(self.firewall.scan_bytes(request.payload_bytes))
+        self._send(request_message(
+            request.payload_bytes, source="external", destination="origin"
+        ))
+
+    def _response_leg(
+        self, request: HttpRequest, payload_bytes: int, **meta: object
+    ) -> None:
+        """Origin -> external over the link, then the firewall scan."""
+        self._send(response_message(
+            payload_bytes, source="origin", destination="external",
+            page=request.url, **meta,
+        ))
+        with self.tracer.span("firewall.scan", direction="response"):
+            self.clock.advance(self.firewall.scan_bytes(payload_bytes))
+
+    def _send(self, message) -> None:
+        if self.delivery is None:
+            self.origin_link.send(message)
+        else:
+            self.delivery.deliver(lambda: self.origin_link.send(message))
 
     def _churn_fragments(self, request: HttpRequest) -> None:
         """Drive the target hit ratio via real data updates."""

@@ -32,9 +32,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.fragments import Dependency
-from ..faults.recovery import ResyncProtocol
+from ..faults.injectors import DpcCrash
 from ..harness.reporting import format_table
-from ..harness.testbed import TestbedConfig
+from ..harness.testbed import Testbed, TestbedConfig
 from ..overload import (
     CircuitBreaker,
     CoDelPolicy,
@@ -80,8 +80,8 @@ class DoctorScenario:
     hold_s: float = 5.0
     decay_s: float = 2.0
     deadline_s: float = 1.5
-    #: Request index of the proxy restart + epoch resync
-    #: (``fault_quarantine`` misses); ``None`` computes mid-run.
+    #: Request index whose arrival time schedules the proxy restart +
+    #: epoch resync (``fault_quarantine`` misses); ``None`` computes mid-run.
     wipe_at: Optional[int] = None
 
     def wipe_index(self) -> int:
@@ -168,7 +168,8 @@ class Diagnosis:
             "outcome conservation", conserved,
             "%d outcomes over %d offered"
             % (self.result.completed + self.result.shed
-               + self.result.timed_out, self.result.offered),
+               + self.result.timed_out + self.result.failed
+               + self.result.bypassed, self.result.offered),
         ))
         return rows
 
@@ -193,6 +194,10 @@ def run_diagnosis(scenario: DoctorScenario) -> Diagnosis:
             deterministic=True,
         ),
     )
+    wipe = scenario.wipe_index()
+    wipe_arrival = Testbed(testbed_config).build_workload().materialize(
+        wipe + 1
+    )[wipe].at
     config = OverloadConfig(
         testbed=testbed_config,
         deadline_s=scenario.deadline_s,
@@ -202,6 +207,10 @@ def run_diagnosis(scenario: DoctorScenario) -> Diagnosis:
         breaker=CircuitBreaker(failure_threshold=5, open_s=1.0),
         correctness_every=0,
         seed=scenario.seed,
+        # Mid-run proxy restart with no downtime: the wiped slots surface as
+        # an AssemblyError or an epoch change, and the resync turns the
+        # dropped entries into fault_quarantine misses.
+        faults=[DpcCrash(at=wipe_arrival, downtime=0.0)],
     )
     harness = OverloadHarness(config)
     testbed = harness.testbed
@@ -220,22 +229,6 @@ def run_diagnosis(scenario: DoctorScenario) -> Diagnosis:
     insight = InsightLayer(keep_events=True).attach(
         bem=testbed.monitor, dpc=testbed.dpc
     )
-
-    # Mid-run proxy restart: wipe the slot array, then resync the directory
-    # synchronously so the harness never sees a desynced GET; the dropped
-    # entries become fault_quarantine misses.
-    wipe_at = scenario.wipe_index()
-    fired: List[int] = []
-
-    def wipe_and_resync(tb, index, timed) -> None:
-        if index == wipe_at and not fired:
-            fired.append(index)
-            tb.dpc.clear()
-            ResyncProtocol(tb.monitor, tb.dpc).resync(
-                tb.dpc.epoch, tb.clock.now()
-            )
-
-    testbed.pre_request_hooks.append(wipe_and_resync)
 
     # SLO sample streams, fed per request on the virtual clock.
     slo = _slo_engine(scenario)

@@ -20,8 +20,8 @@ from .admission import (
     make_policy,
 )
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerStats, CircuitBreaker
+from ..faults.runloop import OUTCOMES
 from .harness import (
-    OUTCOMES,
     OverloadBucket,
     OverloadConfig,
     OverloadHarness,

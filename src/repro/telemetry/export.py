@@ -130,8 +130,8 @@ def span_to_dict(span: Span) -> dict:
     """A span subtree as plain nested dicts (JSON-ready).
 
     Meta (annotations) ride along on every level — the root's
-    ``outcome=``/``kind=``/``epoch=`` verdicts from the overload and chaos
-    harnesses included — coerced through :func:`_json_safe`.
+    ``outcome=``/``predicted_hit=`` verdicts from the chaos and overload
+    run loop included — coerced through :func:`_json_safe`.
     """
     record = {
         "name": span.name,

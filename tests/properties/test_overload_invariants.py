@@ -10,6 +10,11 @@ Three invariant families, all seeded through hypothesis:
   deadline, policy, or breaker, tiles the offered traffic exactly:
   ``fresh + stale + shed + timed_out == offered``, with a ledger row for
   every request that received nothing.
+* **Conservation under faults** — the same runs with a drawn fault list
+  (crash, partition, loss, corruption; possibly empty) composed in tile
+  the offered traffic with the six outcomes
+  ``fresh + stale + shed + timed_out + failed + bypass == offered``, and
+  an anti-entropy sweep restores the directory's slot discipline.
 * **Shedding never corrupts the DPC** — after an overload run the cache
   directory still satisfies the slot-discipline invariant (every dpcKey
   free XOR backing exactly one valid entry); rejections happen *before*
@@ -21,6 +26,13 @@ from hypothesis import strategies as st
 
 from repro.appserver import HttpRequest
 from repro.errors import QueueFullError
+from repro.faults import (
+    CORRUPTION_MODES,
+    ChannelPartition,
+    DirectoryCorruption,
+    DpcCrash,
+    MessageLoss,
+)
 from repro.harness.testbed import TestbedConfig
 from repro.overload import (
     BoundedQueue,
@@ -97,7 +109,7 @@ def test_priority_reserve_holds_under_any_schedule(schedule, capacity):
 # -- conservation and slot discipline across whole runs -----------------------
 
 def overload_harness(mode, base_rate, multiplier, deadline_s, policy_name,
-                     with_breaker, capacity):
+                     with_breaker, capacity, faults=()):
     params = SyntheticParams(
         num_pages=6, fragments_per_page=3, fragment_size=512,
         cacheability=0.67,
@@ -125,6 +137,7 @@ def overload_harness(mode, base_rate, multiplier, deadline_s, policy_name,
         if with_breaker else None,
         bucket_requests=25,
         correctness_every=4,
+        faults=list(faults),
     ))
 
 
@@ -155,6 +168,51 @@ def test_outcomes_conserve_and_drops_are_ledgered(case):
     assert sum(b.requests for b in result.buckets) == result.offered
     assert sum(b.fresh for b in result.buckets) == result.completed_fresh
     assert sum(b.shed for b in result.buckets) == result.shed
+
+
+fault_at = st.floats(min_value=0.5, max_value=8.0)
+fault_lists = st.lists(
+    st.one_of(
+        st.builds(DpcCrash, at=fault_at, downtime=st.sampled_from([0.0, 0.3])),
+        st.builds(
+            ChannelPartition, at=fault_at, duration=st.sampled_from([0.1, 0.6])
+        ),
+        st.builds(
+            MessageLoss, at=fault_at, duration=st.just(1.0),
+            drop_probability=st.sampled_from([0.3, 1.0]),
+            seed=st.integers(0, 9),
+        ),
+        st.builds(
+            DirectoryCorruption, at=fault_at,
+            mode=st.sampled_from(CORRUPTION_MODES),
+            count=st.integers(1, 4), seed=st.integers(0, 9),
+        ),
+    ),
+    max_size=3,
+)
+
+
+@given(run_space.filter(lambda case: case[0] == "dpc"), fault_lists)
+@settings(max_examples=25, deadline=None)
+def test_outcomes_conserve_under_drawn_faults(case, faults):
+    harness = overload_harness(*case, faults=faults)
+    result = harness.run()
+    result.check_conservation()
+    assert result.offered == 100
+    assert (
+        result.completed_fresh + result.completed_stale + result.shed
+        + result.timed_out + result.failed + result.bypassed
+    ) == result.offered
+    named = result.ledger.total - result.ledger.count("messages_dropped")
+    assert named == result.shed + result.timed_out
+    assert result.incorrect_pages == 0
+    assert sum(b.requests for b in result.buckets) == result.offered
+    assert sum(b.failed for b in result.buckets) == result.failed
+    assert sum(b.bypassed for b in result.buckets) == result.bypassed
+    if harness.testbed.resync is not None:
+        # Injected bookkeeping corruption lasts until a sweep repairs it.
+        harness.testbed.resync.anti_entropy()
+    harness.testbed.monitor.directory.check_invariants()
 
 
 @given(run_space.filter(lambda case: case[0] == "dpc"))
