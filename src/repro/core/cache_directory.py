@@ -181,7 +181,9 @@ class CacheDirectory:
     """fragmentID -> :class:`DirectoryEntry`, plus the freeList.
 
     ``capacity`` is both the number of DPC slots and the directory-size
-    threshold at which the replacement manager starts evicting.
+    threshold at which the replacement manager starts evicting.  The
+    directory keeps its policy's ranked index current: ``track`` after an
+    insert or a hit, ``forget`` wherever a key leaves the valid set.
     """
 
     def __init__(
@@ -240,6 +242,7 @@ class CacheDirectory:
             return None
         entry.last_access = now
         entry.hits += 1
+        self.policy.track(entry)
         self.stats.hits += 1
         if self.insight is not None:
             self.insight.record_access(canonical, hit=True)
@@ -287,6 +290,7 @@ class CacheDirectory:
         )
         self._entries[canonical] = entry
         self._valid_by_key[key] = entry
+        self.policy.track(entry)
         self.stats.insertions += 1
         if self.insight is not None:
             self.insight.record_insert(canonical)
@@ -354,6 +358,7 @@ class CacheDirectory:
             return
         entry.is_valid = False
         del self._valid_by_key[entry.dpc_key]
+        self.policy.forget(entry.dpc_key)
         self.free_list.push(entry.dpc_key)
         # Drop the stale record entirely: the paper keeps it only until the
         # fragment is re-requested, and removing it bounds directory memory.
@@ -400,6 +405,7 @@ class CacheDirectory:
         for key, entry in list(self._valid_by_key.items()):
             if not entry.is_valid or entry.dpc_key != key:
                 del self._valid_by_key[key]
+                self.policy.forget(key)
                 stale_mappings += 1
         orphaned_records = 0
         for canonical, entry in list(self._entries.items()):
@@ -447,6 +453,12 @@ class CacheDirectory:
         for key, entry in self._valid_by_key.items():
             if entry.dpc_key != key or not entry.is_valid:
                 raise AssertionError("corrupt valid-by-key mapping at %d" % key)
+        indexed = self.policy.indexed_entries()
+        if indexed is not None and indexed != self._valid_by_key:
+            raise AssertionError(
+                "replacement index out of step: indexed %s, valid %s"
+                % (sorted(indexed), sorted(valid))
+            )
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.cache_directory import DirectoryEntry
-from repro.core.fragments import FragmentID
+from repro.core.cache_directory import CacheDirectory, DirectoryEntry
+from repro.core.fragments import FragmentID, FragmentMetadata
 from repro.core.replacement import (
     FifoPolicy,
+    GreedyDualSizePolicy,
     LfuPolicy,
     LruPolicy,
     TtlAwarePolicy,
@@ -64,7 +65,7 @@ class TestPolicies:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", ["lru", "lfu", "fifo", "ttl"])
+    @pytest.mark.parametrize("name", ["lru", "lfu", "fifo", "ttl", "gds"])
     def test_known_names(self, name):
         assert make_policy(name).name == name
 
@@ -131,3 +132,104 @@ class TestGreedyDualSize:
             )
             directory.check_invariants()
         assert directory.valid_count() == 2
+
+    def test_recycled_key_does_not_inherit_dead_credit(self):
+        # A freed dpcKey handed to a new entry at the same virtual instant
+        # must not reuse the dead entry's credit: D (1000 B) takes B's key
+        # and must be ranked on its own credit 1/1000, below C's.
+        directory = CacheDirectory(2, GreedyDualSizePolicy(cost_of=lambda e: 1.0))
+
+        def insert(name, size):
+            directory.insert(
+                FragmentID.create(name), FragmentMetadata(), size, now=0.0
+            )
+
+        insert("A", 1000)
+        insert("B", 10)
+        insert("C", 100)  # evicts A; L = .001, so C's credit is .011
+        directory.invalidate(FragmentID.create("B"))
+        insert("D", 1000)  # takes B's key; credit .002
+        insert("E", 10)  # must evict D, not C
+        resident = sorted(
+            e.fragment_id.canonical() for e in directory.valid_entries()
+        )
+        assert resident == sorted(
+            FragmentID.create(name).canonical() for name in ("C", "E")
+        )
+
+
+class TripwireView:
+    """A candidate view that may be iterated once, then raises."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.iterations = 0
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        self.iterations += 1
+        if self.iterations > 1:
+            raise AssertionError("select_victim scanned the candidates again")
+        return iter(self.entries)
+
+
+class TestRankedIndex:
+    @pytest.mark.parametrize("name", ["lru", "lfu", "fifo", "ttl", "gds"])
+    def test_selection_does_not_iterate_candidates(self, name):
+        capacity = 4096
+        directory = CacheDirectory(capacity, make_policy(name))
+        policy = directory.policy
+        select = policy.select_victim
+        views = []
+
+        def select_victim(entries, now):
+            views.append(TripwireView(entries))
+            return select(views[-1], now)
+
+        policy.select_victim = select_victim
+        for i in range(capacity + 1000):
+            now = float(i)
+            directory.insert(
+                FragmentID.create("f", {"i": i}),
+                FragmentMetadata(ttl=float(i % 7 + 1) * 1e4),
+                size_bytes=i % 13 + 1,
+                now=now,
+            )
+            if i % 3 == 0:
+                directory.lookup(FragmentID.create("f", {"i": i // 2}), now)
+        assert directory.stats.evictions == 1000
+        assert len(views) == 1000
+        assert [view.iterations for view in views] == [1] + [0] * 999
+        directory.check_invariants()
+
+    def test_index_out_of_step_fails_the_invariant_check(self):
+        directory = CacheDirectory(2)
+        for i in range(3):
+            directory.insert(
+                FragmentID.create("f", {"i": i}), FragmentMetadata(), 1, float(i)
+            )
+        directory.check_invariants()
+        directory.policy.forget(directory.valid_entries()[0].dpc_key)
+        with pytest.raises(AssertionError, match="replacement index"):
+            directory.check_invariants()
+
+    def test_no_index_before_the_first_eviction(self):
+        directory = CacheDirectory(4)
+        for i in range(4):
+            directory.insert(
+                FragmentID.create("f", {"i": i}), FragmentMetadata(), 1, float(i)
+            )
+            directory.lookup(FragmentID.create("f", {"i": i}), float(i))
+        assert directory.policy.indexed_entries() is None
+
+    def test_stale_items_are_compacted(self):
+        directory = CacheDirectory(8)
+        ids = [FragmentID.create("f", {"i": i}) for i in range(9)]
+        for i, fid in enumerate(ids):
+            directory.insert(fid, FragmentMetadata(), 1, float(i))
+        for step in range(10_000):
+            directory.lookup(ids[1 + step % 8], 10.0 + step)
+        assert len(directory.policy._heap) <= 4 * 8 + 64
+        directory.check_invariants()
