@@ -1,4 +1,4 @@
-"""End-to-end fast-lane throughput benchmark and CI regression gate.
+"""End-to-end runtime-DPC vs oracle-DPC throughput benchmark and CI gate.
 
 Thin wrapper around :mod:`repro.perf.hotpath` / :mod:`repro.bench`:
 
@@ -6,9 +6,10 @@ Thin wrapper around :mod:`repro.perf.hotpath` / :mod:`repro.bench`:
     python benchmarks/bench_hotpath.py --smoke      # CI gate vs BENCH_HOTPATH.json
     python benchmarks/bench_hotpath.py --record     # refresh the baseline
 
-The smoke gate fails (exit 1) when the lower-quartile fast-vs-reference
-speedup drops more than 10% below the committed smoke baseline in
-``BENCH_HOTPATH.json`` — see docs/PERFORMANCE.md for how to read the file.
+The smoke gate fails (exit 1) when the lower-quartile speedup of the
+runtime DPC over the reference oracle (``repro.perf.reference``) drops
+more than 10% below the committed smoke baseline in ``BENCH_HOTPATH.json``
+— see docs/PERFORMANCE.md for how to read the file.
 """
 
 import os

@@ -1,7 +1,7 @@
 """Uniform benchmark runner: ``python -m repro bench``.
 
 The library benchmarks in :mod:`repro.perf` all follow one contract — a
-callable that runs a paired fast-vs-reference measurement and returns a
+callable that runs a paired runtime-vs-oracle measurement and returns a
 JSON-serializable dict with a ``speedup`` block.  This module is the single
 front door to them, so individual bench scripts stop duplicating argparse
 and JSON plumbing::
@@ -56,7 +56,7 @@ class BenchSpec:
 REGISTRY: Dict[str, BenchSpec] = {
     "hotpath": BenchSpec(
         name="hotpath",
-        description="end-to-end Figure 4 testbed, fast vs reference lanes",
+        description="end-to-end Figure 4 testbed, runtime DPC vs reference oracle",
         runner=_hotpath.run_hotpath,
         default_json="BENCH_HOTPATH.json",
         smoke_settings=_hotpath.SMOKE_SETTINGS,

@@ -6,8 +6,11 @@ the array index."
 
 The DPC sits outside the site infrastructure.  For every response coming
 from the origin it scans the byte stream for instruction tags (one linear
-KMP pass — the ``z``-per-byte cost of the Section 5 analysis), executes the
+pass — the ``z``-per-byte cost of the Section 5 analysis), executes the
 SET/GET instructions against its slot array, and emits the assembled page.
+Repeated wire forms are served from an LRU parse cache and assembled from
+a precompiled plan; :class:`repro.perf.reference.ReferenceProxyCache` is
+the uncached, per-instruction oracle the differential tests hold it to.
 
 Note the deliberate asymmetry with the BEM: the DPC holds no metadata at
 all — no TTLs, no validity flags, no fragment identities.  All cache
@@ -19,7 +22,7 @@ entire coordination protocol: no explicit BEM->DPC control messages exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import (
     AssemblyError,
@@ -27,17 +30,12 @@ from ..errors import (
     OversizedFragmentError,
     SlotError,
 )
-from . import fastpath
 from .scanner import TagScanner
 from .template import (
     DEFAULT_CONFIG,
     OP_GET,
-    OP_SET,
     OP_TEXT,
     SENTINEL,
-    GetInstruction,
-    Literal,
-    SetInstruction,
     Template,
     TemplateCache,
     TemplateConfig,
@@ -105,11 +103,11 @@ class DynamicProxyCache:
         self.template_config = template_config
         self._slots: List[Optional[str]] = [None] * capacity
         self.scanner = TagScanner(SENTINEL)
-        #: LRU parse cache for the fast lane: wire string -> parsed
-        #: template.  A warm proxy repeatedly receives identical GET-only
-        #: wire forms; re-parsing them is avoidable interpreter cost.  The
-        #: cache only affects *how* a template is obtained — scanned-byte
-        #: accounting, stats, and assembled pages are byte-identical.
+        #: LRU parse cache: wire string -> parsed template.  A warm proxy
+        #: repeatedly receives identical GET-only wire forms; re-parsing
+        #: them is avoidable interpreter cost.  The cache only affects
+        #: *how* a template is obtained — scanned-byte accounting, stats,
+        #: and assembled pages are byte-identical.
         self.parse_cache = TemplateCache()
         self.stats = DpcStats()
         #: Generation counter: bumped every time the slot array is wiped
@@ -180,73 +178,32 @@ class DynamicProxyCache:
         """Scan an origin response and assemble the user-deliverable page.
 
         This is the ISAPI-filter equivalent: one pass over the bytes, tags
-        dispatched as encountered, literals copied through.  On the fast
-        lanes a wire form the proxy has already parsed is served from the
-        LRU parse cache; the scan-cost counter is still charged for every
-        response byte (:meth:`TagScanner.charge`), so Result 1 accounting
-        is identical in both lanes.
+        dispatched as encountered, literals copied through.  A wire form
+        the proxy has already parsed is served from the LRU parse cache;
+        the scan-cost counter is still charged for every response byte
+        (:meth:`TagScanner.charge`), so Result 1 accounting equals a
+        re-scan of every response.
         """
-        if fastpath.enabled():
-            template = self.parse_cache.get(wire)
-            if template is None:
-                template = parse_template(
-                    wire, self.template_config, scanner=self.scanner
-                )
-                self.parse_cache.put(wire, template)
-            else:
-                self.scanner.charge(len(wire))
-            return self.assemble(template, wire_bytes=len(wire.encode("utf-8")))
-        template = parse_template(wire, self.template_config, scanner=self.scanner)
+        template = self.parse_cache.get(wire)
+        if template is None:
+            template = parse_template(
+                wire, self.template_config, scanner=self.scanner
+            )
+            self.parse_cache.put(wire, template)
+        else:
+            self.scanner.charge(len(wire))
         return self.assemble(template, wire_bytes=len(wire.encode("utf-8")))
 
     def assemble(self, template: Template, wire_bytes: Optional[int] = None) -> AssembledPage:
         """Execute a parsed template against the slot array.
 
-        The fast lane runs the template's precompiled plan
-        (:meth:`~repro.core.template.Template.compiled`) — literal splices
-        and slot reads collected into one list, joined once — while the
-        reference lane keeps the original per-instruction ``isinstance``
-        walk.  Both produce the same page bytes, stats, and errors in the
-        same order.
+        Runs the template's precompiled plan
+        (:meth:`~repro.core.template.Template.compiled`): literal splices
+        and slot reads collected into one list, joined once.
         """
         if wire_bytes is None:
             wire_bytes = template.wire_bytes()
-        parts: List[str] = []
-        sets = 0
-        gets = 0
-        if fastpath.enabled():
-            slots = self._slots
-            store = self.store
-            append = parts.append
-            for op in template.compiled():
-                kind = op[0]
-                if kind == OP_TEXT:
-                    append(op[1])
-                elif kind == OP_GET:
-                    key = op[1]
-                    content = slots[key] if 0 <= key < self.capacity else None
-                    if content is None:
-                        # Fall back to fetch() for the exact typed error.
-                        content = self.fetch(key)
-                    append(content)
-                    gets += 1
-                else:  # OP_SET
-                    store(op[1], op[2])
-                    append(op[2])
-                    sets += 1
-        else:
-            for instruction in template.instructions:
-                if isinstance(instruction, Literal):
-                    parts.append(instruction.text)
-                elif isinstance(instruction, SetInstruction):
-                    self.store(instruction.key, instruction.content)
-                    parts.append(instruction.content)
-                    sets += 1
-                elif isinstance(instruction, GetInstruction):
-                    parts.append(self.fetch(instruction.key))
-                    gets += 1
-                else:  # pragma: no cover - exhaustive over Instruction
-                    raise AssemblyError("unknown instruction %r" % (instruction,))
+        parts, sets, gets = self._splice(template)
         html = "".join(parts)
         page_bytes = len(html.encode("utf-8"))
 
@@ -264,6 +221,32 @@ class DynamicProxyCache:
             fragments_get=gets,
             epoch=self.epoch,
         )
+
+    def _splice(self, template: Template) -> Tuple[List[str], int, int]:
+        """Run the plan's SETs and GETs; returns (page parts, sets, gets)."""
+        parts: List[str] = []
+        sets = 0
+        gets = 0
+        slots = self._slots
+        store = self.store
+        append = parts.append
+        for op in template.compiled():
+            kind = op[0]
+            if kind == OP_TEXT:
+                append(op[1])
+            elif kind == OP_GET:
+                key = op[1]
+                content = slots[key] if 0 <= key < self.capacity else None
+                if content is None:
+                    # Fall back to fetch() for the exact typed error.
+                    content = self.fetch(key)
+                append(content)
+                gets += 1
+            else:  # OP_SET
+                store(op[1], op[2])
+                append(op[2])
+                sets += 1
+        return parts, sets, gets
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -283,7 +266,7 @@ class DynamicProxyCache:
 
     @property
     def bytes_scanned(self) -> int:
-        """Total response bytes KMP-scanned so far."""
+        """Total response bytes scanned so far."""
         return self.scanner.bytes_scanned
 
     def metric_rows(self) -> List[tuple]:

@@ -3,22 +3,14 @@
 The paper justifies its scan-cost assumption by noting that "string matching
 algorithms (e.g., KMP [18]) are linear-time algorithms" (§5).  The DPC must
 scan every response byte exactly once looking for instruction tags; this
-module provides that linear-time scan in two interchangeable lanes:
+module provides that linear-time scan.
 
-* the **fast lane** walks the text with ``str.find``, which runs the same
-  linear scan inside the interpreter's C string machinery.  This is what
-  the serve path uses (see :mod:`repro.core.fastpath`).
-* the **reference lane** is the classic per-character KMP loop, kept as the
-  executable oracle the fast lane is differentially tested against.
-
-Both lanes report identical match positions and identical scanned-byte
-counts — the per-byte ``z`` cost of the Section 5 analysis is charged on
-``len(text)`` either way, so Result 1's accounting does not depend on which
-lane ran.
-
-:func:`kmp_find_all` is the general algorithm; :class:`TagScanner` applies
-it to the template tag sentinel and reports scanned-byte counts so that the
-scan-cost analysis (Result 1) can be measured rather than assumed.
+:class:`TagScanner` walks the text with ``str.find``, which runs the linear
+scan inside the interpreter's C string machinery, and charges every byte to
+its counter so that the scan-cost analysis (Result 1) can be measured rather
+than assumed.  :func:`kmp_find_all` is the classic per-character KMP
+algorithm the paper cites; :mod:`repro.perf.reference` builds the
+differential oracle scanner on the same failure table.
 """
 
 from __future__ import annotations
@@ -27,7 +19,6 @@ from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 from ..errors import ConfigurationError
-from . import fastpath
 
 
 @lru_cache(maxsize=256)
@@ -89,8 +80,11 @@ def kmp_find(text: str, pattern: str, start: int = 0) -> int:
     """First match position at or after ``start``, or -1.
 
     Equivalent to ``text.find(pattern, start)`` but via KMP; used where the
-    single-pass guarantee matters for the scan-cost accounting.
+    single-pass guarantee matters for the scan-cost accounting.  A negative
+    ``start`` counts from the end of ``text``, as a slice index does.
     """
+    if start < 0:
+        start = max(0, len(text) + start)
     for position in kmp_iter(text[start:], pattern):
         return start + position
     return -1
@@ -99,7 +93,7 @@ def kmp_find(text: str, pattern: str, start: int = 0) -> int:
 def find_positions(text: str, pattern: str) -> List[int]:
     """All (possibly overlapping) match positions, via ``str.find``.
 
-    The fast lane's scan: the same linear pass as KMP, executed by the
+    The serve path's scan: the same linear pass as KMP, executed by the
     interpreter's C substring search instead of a per-character Python
     loop.  Overlapping matches are included (the search resumes one
     character past each match start), so the output is position-for-position
@@ -121,48 +115,20 @@ class TagScanner:
 
     One scanner instance accumulates ``bytes_scanned`` across calls so a
     DPC can report total scanning work (the ``z`` per-byte cost in the
-    Section 5 comparison).  With the fast lanes active (the default) the
-    scan runs on ``str.find``; on the reference lanes it runs the KMP loop.
-    Either way every byte of the text is charged to ``bytes_scanned``.
+    Section 5 comparison).  The scan runs on ``str.find`` and every byte of
+    the text is charged to ``bytes_scanned``.
     """
 
     def __init__(self, sentinel: str) -> None:
         if not sentinel:
             raise ConfigurationError("sentinel cannot be empty")
         self.sentinel = sentinel
-        self._failure = failure_function(sentinel)
         self.bytes_scanned = 0
 
     def positions(self, text: str) -> List[int]:
         """Scan ``text`` once, returning all sentinel start positions."""
         self.bytes_scanned += len(text)
-        if fastpath.enabled():
-            return find_positions(text, self.sentinel)
-        return self._kmp_positions(text)
-
-    def kmp_positions(self, text: str) -> List[int]:
-        """Reference scan: the per-character KMP loop, charging the counter.
-
-        Kept as the executable oracle for the differential property tests;
-        :meth:`positions` routes here when the reference lanes are active.
-        """
-        self.bytes_scanned += len(text)
-        return self._kmp_positions(text)
-
-    def _kmp_positions(self, text: str) -> List[int]:
-        matches: List[int] = []
-        matched = 0
-        pattern = self.sentinel
-        table = self._failure
-        for i, char in enumerate(text):
-            while matched > 0 and char != pattern[matched]:
-                matched = table[matched - 1]
-            if char == pattern[matched]:
-                matched += 1
-            if matched == len(pattern):
-                matches.append(i - len(pattern) + 1)
-                matched = table[matched - 1]
-        return matches
+        return find_positions(text, self.sentinel)
 
     def charge(self, nbytes: int) -> None:
         """Account ``nbytes`` of scan work without re-walking the text.
@@ -171,7 +137,8 @@ class TagScanner:
         re-scan of a wire string the DPC has already parsed, but the
         scan-cost model (Result 1) still charges ``z`` per response byte —
         the bytes did cross the proxy and were matched against the cache.
-        Counter semantics are therefore identical in both lanes.
+        The counter therefore equals what a re-scan of every response
+        (:class:`repro.perf.reference.KmpTagScanner`) would report.
         """
         if nbytes < 0:
             raise ConfigurationError("cannot charge a negative byte count")

@@ -24,8 +24,8 @@ the analysis' miss cost of ``s + 2g``.  dpcKeys are zero-padded integers,
 which is precisely why the paper introduces the integer key: "it reduces the
 tag size" versus embedding the long fragmentID (§4.3.3).
 
-Fast lanes (see :mod:`repro.core.fastpath`)
--------------------------------------------
+Hot-path representation
+-----------------------
 
 The instruction classes carry ``__slots__`` (they are allocated per block
 per request), :meth:`Template.serialize`/:meth:`Template.wire_bytes` are
@@ -34,7 +34,8 @@ instruction stream into a flat assembly plan the DPC executes with one
 ``str.join``, and :class:`TemplateCache` is the LRU parse cache — keyed on
 the wire string — that lets a warm proxy skip re-parsing a template it has
 already seen.  None of these change any observable byte: the differential
-property tests pin fast-lane output to the reference lane's.
+property tests pin the DPC's output to the oracle proxy in
+:mod:`repro.perf.reference`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from collections import OrderedDict
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, OversizedFragmentError, TemplateError
-from . import fastpath
 from .scanner import TagScanner
 
 SENTINEL = "<~"
@@ -306,10 +306,9 @@ class Template:
         """Render the wire form sent from the BEM to the DPC.
 
         Memoized: repeated calls return the cached string until the
-        template is mutated.  On the reference lanes the render runs fresh
-        every call, mirroring the pre-optimization behavior.
+        template is mutated.
         """
-        if fastpath.enabled() and self._serialized is not None:
+        if self._serialized is not None:
             return self._serialized
         parts: List[str] = []
         for instruction in self.normalized().instructions:
@@ -329,7 +328,7 @@ class Template:
 
     def wire_bytes(self) -> int:
         """Size of the serialized template in bytes (memoized)."""
-        if fastpath.enabled() and self._wire_bytes is not None:
+        if self._wire_bytes is not None:
             return self._wire_bytes
         size = len(self.serialize().encode("utf-8"))
         self._wire_bytes = size
@@ -343,9 +342,9 @@ class Template:
         Each op is a tuple starting with one of :data:`OP_TEXT`,
         :data:`OP_GET`, :data:`OP_SET`.  Executing the ops in order against
         a slot array and joining the spliced parts reproduces, byte for
-        byte, what the per-instruction ``isinstance`` walk produced — the
-        DPC's fast-lane :meth:`~repro.core.dpc.DynamicProxyCache.assemble`
-        runs this plan with one ``''.join`` over the collected parts.
+        byte, what the per-instruction ``isinstance`` walk produces —
+        :meth:`~repro.core.dpc.DynamicProxyCache.assemble` runs this plan
+        with one ``''.join`` over the collected parts.
         """
         if self._plan is not None:
             return self._plan
@@ -411,8 +410,13 @@ class TemplateCache:
         return template
 
     def put(self, wire: str, template: Template) -> None:
-        """Remember the parse of ``wire``, evicting the LRU entry if full."""
-        if len(wire) > self.max_wire_bytes:
+        """Remember the parse of ``wire``, evicting the LRU entry if full.
+
+        The size bound is in UTF-8 bytes; an ASCII wire's length already
+        is its byte count, so only non-ASCII wires pay for an encode.
+        """
+        size = len(wire) if wire.isascii() else len(wire.encode("utf-8"))
+        if size > self.max_wire_bytes:
             return
         self._entries[wire] = template
         self._entries.move_to_end(wire)
@@ -435,8 +439,7 @@ def parse_template(
     """Parse a serialized template back into an instruction stream.
 
     The scan for tags is a single linear pass (the cost the Section 5
-    analysis charges at ``z`` per byte) — ``str.find``-based on the fast
-    lanes, the KMP reference loop otherwise.  Passing a shared
+    analysis charges at ``z`` per byte) by ``scanner``.  Passing a shared
     :class:`TagScanner` lets a DPC accumulate scanned-byte counts across
     responses.
     """

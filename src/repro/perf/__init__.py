@@ -1,10 +1,10 @@
-"""Performance measurement harnesses for the wire-path fast lanes.
+"""Performance measurement harnesses for the DPC's wire path.
 
 The modules here are *library* benchmarks: importable functions that run a
-workload under both the fast lanes and the reference lanes
-(:mod:`repro.core.fastpath`), verify the two are byte-identical, and return
-JSON-serializable result dicts.  The scripts in ``benchmarks/`` and the
-``python -m repro bench`` CLI are thin wrappers around them.
+workload on the runtime path and again on the reference oracle
+(:mod:`repro.perf.reference`), verify the two are byte-identical, and
+return JSON-serializable result dicts.  The scripts in ``benchmarks/`` and
+the ``python -m repro bench`` CLI are thin wrappers around them.
 """
 
 from .hotpath import SMOKE_SETTINGS, run_hotpath

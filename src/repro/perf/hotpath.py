@@ -1,9 +1,12 @@
-"""End-to-end fast-lane vs reference-lane throughput on the Figure 4 testbed.
+"""End-to-end runtime-path vs reference-oracle throughput on the Figure 4 testbed.
 
 This is the benchmark behind ``BENCH_HOTPATH.json``: the full serve path —
 firewall scan, origin link, BEM tagging, DPC scan-and-assemble — run at warm
-cache under the fast lanes and again under the reference lanes
-(:mod:`repro.core.fastpath`), over the identical seeded workload.
+cache as built, and again with the oracle proxy
+(:class:`repro.perf.reference.ReferenceProxyCache`) in place of
+``testbed.dpc``, over the identical seeded workload.  Every difference
+between the two runs is inside the DPC.  In the result, ``fast`` names
+the runtime path and ``reference`` the oracle DPC.
 
 Measurement method (same scheme as the telemetry-overhead smoke in
 ``benchmarks/bench_micro.py``): wall time on a shared box is noisy, so the
@@ -24,9 +27,9 @@ import gc
 import time
 from typing import Dict, List, Tuple
 
-from ..core import fastpath
-from ..harness.testbed import TestbedConfig, TestbedResult, run_testbed
+from ..harness.testbed import Testbed, TestbedConfig, TestbedResult
 from ..sites.synthetic import SyntheticParams
+from .reference import ReferenceProxyCache
 
 #: The workload: Figure 4 topology at paper-scale pages (16 fragments of
 #: 4 KB — the tens-of-kilobytes regime the paper's site survey reports) and
@@ -57,7 +60,11 @@ SMOKE_SETTINGS: Dict[str, int] = {"requests": 120, "pairs": 5, "warmup": 40}
 def _timed_run(
     fast: bool, requests: int, warmup: int, seed: int
 ) -> Tuple[float, TestbedResult]:
-    """One seeded testbed run under the chosen lane; returns (wall s, result)."""
+    """One seeded testbed run, on the oracle DPC unless ``fast``.
+
+    Returns (wall s, result); testbed construction is inside the timed
+    window for both runs.
+    """
     config = TestbedConfig(
         mode="dpc",
         synthetic=SyntheticParams(**DEFAULT_WORKLOAD),
@@ -66,23 +73,29 @@ def _timed_run(
         warmup_requests=warmup,
         seed=seed,
     )
-    lane = fastpath.fast_lanes() if fast else fastpath.reference_lanes()
-    with lane:
-        start = time.perf_counter()
-        result = run_testbed(config)
-        wall = time.perf_counter() - start
+    start = time.perf_counter()
+    testbed = Testbed(config)
+    if not fast:
+        dpc = testbed.dpc
+        testbed.dpc = ReferenceProxyCache(
+            capacity=dpc.capacity,
+            template_config=dpc.template_config,
+            name=dpc.name,
+        )
+    result = testbed.run()
+    wall = time.perf_counter() - start
     return wall, result
 
 
 def _check_identical(fast: TestbedResult, reference: TestbedResult) -> Dict[str, object]:
-    """Cross-check the two lanes' accounting; raises on any drift."""
+    """Cross-check the two runs' accounting; raises on any drift."""
     accounting: Dict[str, object] = {}
     for field in ACCOUNTING_FIELDS:
         fast_value = getattr(fast, field)
         reference_value = getattr(reference, field)
         if fast_value != reference_value:
             raise AssertionError(
-                "fast/reference lanes disagree on %s: %r != %r"
+                "runtime DPC and reference oracle disagree on %s: %r != %r"
                 % (field, fast_value, reference_value)
             )
         accounting[field] = fast_value
@@ -92,12 +105,12 @@ def _check_identical(fast: TestbedResult, reference: TestbedResult) -> Dict[str,
 def run_hotpath(
     requests: int = 300, pairs: int = 7, warmup: int = 50, seed: int = 7
 ) -> Dict[str, object]:
-    """Measure the fast-lane speedup; returns a JSON-serializable dict.
+    """Measure the runtime DPC's speedup over the oracle; returns a JSON dict.
 
     ``pairs`` back-to-back (reference, fast) runs are timed with the order
     alternating; the headline ``speedup.lower_quartile`` is the lower
     quartile of the per-pair wall-time ratios and ``throughput_rps`` is the
-    median fast-lane requests/second.
+    median runtime-path requests/second.
     """
     ratios: List[float] = []
     fast_walls: List[float] = []

@@ -1,4 +1,4 @@
-"""Microbenchmark: sentinel scan throughput, fast lane vs KMP reference.
+"""Microbenchmark: sentinel scan throughput, ``str.find`` vs the KMP oracle.
 
 Isolates the single hottest operation of the serve path — the linear scan
 of a response body for the tag sentinel — from everything else the testbed
@@ -14,9 +14,9 @@ import random
 import time
 from typing import Dict, List
 
-from ..core import fastpath
 from ..core.scanner import TagScanner
 from ..core.template import SENTINEL
+from .reference import KmpTagScanner
 
 #: Size of each synthetic response body scanned per iteration.
 TEXT_BYTES = 65536
@@ -32,41 +32,31 @@ def _make_text(seed: int) -> str:
         rng.choice("abcdefghijklmnopqrstuvwxyz <>~:") for _ in range(512)
     )
     body = (filler * (TEXT_BYTES // len(filler) + 1))[:TEXT_BYTES]
-    # Splice in a handful of real sentinels so both lanes do match work.
+    # Splice in a handful of real sentinels so both scanners do match work.
     chunk = TEXT_BYTES // 8
     return SENTINEL.join(body[i : i + chunk] for i in range(0, TEXT_BYTES, chunk))
 
 
 def _timed_scan(kmp: bool, text: str, iterations: int) -> float:
-    """Wall seconds for ``iterations`` scans on one lane.
-
-    ``kmp_positions`` always runs the reference loop; the fast branch pins
-    the fast lanes so the measurement is independent of the ambient
-    :mod:`repro.core.fastpath` state.
-    """
-    scanner = TagScanner(SENTINEL)
-    scan = scanner.kmp_positions if kmp else scanner.positions
-    with fastpath.fast_lanes():
-        start = time.perf_counter()
-        for _ in range(iterations):
-            scan(text)
-        return time.perf_counter() - start
+    """Wall seconds for ``iterations`` scans by the oracle or the runtime scanner."""
+    scan = (KmpTagScanner if kmp else TagScanner)(SENTINEL).positions
+    start = time.perf_counter()
+    for _ in range(iterations):
+        scan(text)
+    return time.perf_counter() - start
 
 
 def run_scan(iterations: int = 100, pairs: int = 7, seed: int = 7) -> Dict[str, object]:
-    """Measure scan speedup (fast over KMP); returns a JSON-ready dict.
+    """Measure scan speedup (``str.find`` over KMP); returns a JSON-ready dict.
 
     Uses the same paired, order-alternating, lower-quartile scheme as the
-    end-to-end ``hotpath`` benchmark.  Also asserts both lanes report the
-    same match positions on the benchmark text.
+    end-to-end ``hotpath`` benchmark.  Also asserts both scanners report
+    the same match positions on the benchmark text.
     """
     text = _make_text(seed)
-    reference_scanner = TagScanner(SENTINEL)
-    fast_scanner = TagScanner(SENTINEL)
-    with fastpath.fast_lanes():
-        fast_positions = fast_scanner.positions(text)
-    if reference_scanner.kmp_positions(text) != fast_positions:
-        raise AssertionError("scan lanes disagree on match positions")
+    fast_positions = TagScanner(SENTINEL).positions(text)
+    if KmpTagScanner(SENTINEL).positions(text) != fast_positions:
+        raise AssertionError("scanners disagree on match positions")
 
     ratios: List[float] = []
     gc_was_enabled = gc.isenabled()

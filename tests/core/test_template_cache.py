@@ -1,8 +1,7 @@
-"""Tests for the template fast lanes: memoization, plans, parse cache."""
+"""Tests for the template hot path: memoization, plans, parse cache."""
 
 import pytest
 
-from repro.core import fastpath
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID
 from repro.core.template import (
@@ -14,35 +13,24 @@ from repro.core.template import (
     parse_template,
 )
 from repro.errors import ConfigurationError
+from repro.perf.reference import ReferenceProxyCache
 
 
 class TestSerializeMemo:
     def test_serialize_cached_until_mutation(self):
         template = Template().literal("a").get(1)
-        with fastpath.fast_lanes():
-            first = template.serialize()
-            assert template.serialize() is first  # memo returns same object
-            template.literal("b")
-            second = template.serialize()
+        first = template.serialize()
+        assert template.serialize() is first  # memo returns same object
+        template.literal("b")
+        second = template.serialize()
         assert second != first
-        with fastpath.reference_lanes():
-            assert template.serialize() == second
+        assert Template(list(template.instructions)).serialize() == second
 
     def test_wire_bytes_tracks_mutation(self):
         template = Template().get(1)
-        with fastpath.fast_lanes():
-            before = template.wire_bytes()
-            template.literal("xyz")
-            assert template.wire_bytes() == before + 3
-
-    def test_reference_lane_skips_memo(self):
-        """On the reference lanes every call renders fresh."""
-        template = Template().literal("a").get(1)
-        with fastpath.reference_lanes():
-            first = template.serialize()
-            second = template.serialize()
-        assert first == second
-        assert first is not second
+        before = template.wire_bytes()
+        template.literal("xyz")
+        assert template.wire_bytes() == before + 3
 
 
 class TestCompiledPlan:
@@ -85,6 +73,11 @@ class TestTemplateCache:
         cache.put("longwire", Template())
         assert len(cache) == 0
         assert cache.get("longwire") is None
+        # The bound is in UTF-8 bytes: three characters, six bytes.
+        cache.put("\u00e9\u00e9\u00e9", Template())
+        assert len(cache) == 0
+        cache.put("\u00e9\u00e9", Template())
+        assert len(cache) == 1
 
     def test_clear(self):
         cache = TemplateCache()
@@ -102,30 +95,31 @@ class TestTemplateCache:
 class TestDpcParseCache:
     def test_warm_wire_served_from_cache(self):
         dpc = DynamicProxyCache(capacity=16)
-        with fastpath.fast_lanes():
-            dpc.process_response(Template().set(1, "frag").serialize())
-            wire = Template().get(1).serialize()
-            dpc.process_response(wire)
-            misses = dpc.parse_cache.misses
-            dpc.process_response(wire)
+        dpc.process_response(Template().set(1, "frag").serialize())
+        wire = Template().get(1).serialize()
+        dpc.process_response(wire)
+        misses = dpc.parse_cache.misses
+        dpc.process_response(wire)
         assert dpc.parse_cache.hits >= 1
         assert dpc.parse_cache.misses == misses
 
     def test_cache_hit_still_charges_scan_bytes(self):
         """Result 1: scanned bytes grow by len(wire) even on a cache hit."""
         dpc = DynamicProxyCache(capacity=16)
-        with fastpath.fast_lanes():
-            dpc.process_response(Template().set(1, "frag").serialize())
+        reference = ReferenceProxyCache(capacity=16)
+        for proxy in (dpc, reference):
+            proxy.process_response(Template().set(1, "frag").serialize())
             wire = Template().get(1).serialize()
-            dpc.process_response(wire)
-            before = dpc.bytes_scanned
-            dpc.process_response(wire)  # parse-cache hit
-        assert dpc.bytes_scanned == before + len(wire)
+            proxy.process_response(wire)
+            before = proxy.bytes_scanned
+            proxy.process_response(wire)  # parse-cache hit on the runtime DPC
+            assert proxy.bytes_scanned == before + len(wire)
+        assert dpc.parse_cache.hits >= 1
+        assert dpc.bytes_scanned == reference.bytes_scanned
 
     def test_clear_drops_parse_cache(self):
         dpc = DynamicProxyCache(capacity=16)
-        with fastpath.fast_lanes():
-            dpc.process_response(Template().set(1, "frag").serialize())
+        dpc.process_response(Template().set(1, "frag").serialize())
         assert len(dpc.parse_cache) >= 1
         dpc.clear()
         assert len(dpc.parse_cache) == 0

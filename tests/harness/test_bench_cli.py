@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro import bench
+from repro.perf.hotpath import ACCOUNTING_FIELDS, run_hotpath
+from repro.perf.reference import ReferenceProxyCache
 
 
 class TestRegistry:
@@ -110,3 +112,23 @@ class TestCliPlumbing:
             lambda **settings: {"speedup": {"lower_quartile": 4.0}},
         )
         assert bench.main(["hotpath", "--smoke", "--json", path]) == 1
+
+
+class TestHotpathRun:
+    def test_tiny_run_checks_accounting_against_oracle_dpc(self, monkeypatch):
+        """The reference run is served by ReferenceProxyCache, byte-equal."""
+        served = []
+        process_response = ReferenceProxyCache.process_response
+
+        def counting(self, wire):
+            served.append(wire)
+            return process_response(self, wire)
+
+        monkeypatch.setattr(ReferenceProxyCache, "process_response", counting)
+        result = run_hotpath(requests=10, warmup=2, pairs=1)
+        assert result["identical_accounting"] is True
+        assert set(result["accounting"]) == set(ACCOUNTING_FIELDS)
+        assert result["accounting"]["dpc_scanned_bytes"] > 0
+        # One reference run of warmup + measured requests; the warm-up and
+        # fast runs never touch the oracle.
+        assert len(served) == 12

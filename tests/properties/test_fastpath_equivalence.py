@@ -1,12 +1,14 @@
-"""Differential properties: the fast lanes are byte-identical to reference.
+"""Differential properties: the runtime wire path is byte-identical to the oracle.
 
-The wire-path optimizations (:mod:`repro.core.fastpath`) promise that the
-``str.find`` scanner, the template parse cache, memoized serialization, and
-the compiled assembly plan change *constant factors only*.  These tests pin
-that promise on randomized inputs: every observable — match positions,
-parsed instruction streams, assembled pages, DPC stats, and the scanned-byte
-counter behind Result 1 — must be equal under both lanes, including escaped
-sentinels, adjacent tags, and oversized fragments.
+The wire-path optimizations promise that the ``str.find`` scanner, the
+template parse cache, memoized serialization, and the compiled assembly plan
+change *constant factors only*.  These tests pin that promise on randomized
+inputs against :mod:`repro.perf.reference` (the KMP scanner and the uncached,
+per-instruction proxy): every observable — match positions, parsed
+instruction streams, assembled pages, DPC stats, and the scanned-byte counter
+behind Result 1 — must be equal, including escaped sentinels, adjacent tags,
+and oversized fragments.  Serialization is compared with a fresh
+:class:`Template` copy's render, which no memo has touched.
 """
 
 import string
@@ -15,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fastpath
 from repro.core.dpc import DynamicProxyCache
 from repro.core.scanner import TagScanner, find_positions, kmp_find_all
 from repro.core.template import (
@@ -28,6 +29,7 @@ from repro.core.template import (
     parse_template,
 )
 from repro.errors import OversizedFragmentError
+from repro.perf.reference import KmpTagScanner, ReferenceProxyCache
 
 # Sentinel-heavy alphabet so escaping and near-miss prefixes get exercised.
 text = st.text(
@@ -49,7 +51,7 @@ instructions = st.one_of(
 @given(text)
 @settings(max_examples=300)
 def test_find_scan_matches_kmp_on_sentinel(body):
-    """Both scan lanes report identical sentinel positions."""
+    """``str.find`` and KMP report identical sentinel positions."""
     assert find_positions(body, SENTINEL) == kmp_find_all(body, SENTINEL)
 
 
@@ -65,13 +67,11 @@ def test_find_scan_matches_kmp_on_arbitrary_patterns(body, pattern):
 
 @given(text)
 def test_scanner_lanes_charge_identical_bytes(body):
-    """Result 1 accounting: both lanes charge len(text) per scan."""
+    """Result 1 accounting: both scanners charge len(text) per scan."""
     fast_scanner = TagScanner(SENTINEL)
-    reference_scanner = TagScanner(SENTINEL)
-    with fastpath.fast_lanes():
-        fast_positions = fast_scanner.positions(body)
-    with fastpath.reference_lanes():
-        reference_positions = reference_scanner.positions(body)
+    reference_scanner = KmpTagScanner(SENTINEL)
+    fast_positions = fast_scanner.positions(body)
+    reference_positions = reference_scanner.positions(body)
     assert fast_positions == reference_positions
     assert fast_scanner.bytes_scanned == reference_scanner.bytes_scanned
 
@@ -82,20 +82,17 @@ def test_scanner_lanes_charge_identical_bytes(body):
 @given(st.lists(instructions, max_size=16))
 @settings(max_examples=200)
 def test_parse_identical_across_lanes(instruction_list):
-    """Fast-lane parsing yields the same template and scan charge.
+    """``str.find`` parsing yields the same template and scan charge as KMP.
 
     The generated streams include adjacent tags (consecutive GET/SET with
     no literal between them) and literals containing the raw sentinel,
     which serialization escapes.
     """
-    with fastpath.reference_lanes():
-        wire = Template(instruction_list).serialize()
+    wire = Template(instruction_list).serialize()
     fast_scanner = TagScanner(SENTINEL)
-    reference_scanner = TagScanner(SENTINEL)
-    with fastpath.fast_lanes():
-        fast_parse = parse_template(wire, scanner=fast_scanner)
-    with fastpath.reference_lanes():
-        reference_parse = parse_template(wire, scanner=reference_scanner)
+    reference_scanner = KmpTagScanner(SENTINEL)
+    fast_parse = parse_template(wire, scanner=fast_scanner)
+    reference_parse = parse_template(wire, scanner=reference_scanner)
     assert fast_parse == reference_parse
     assert fast_scanner.bytes_scanned == reference_scanner.bytes_scanned
 
@@ -103,36 +100,31 @@ def test_parse_identical_across_lanes(instruction_list):
 @given(st.lists(instructions, max_size=16))
 @settings(max_examples=200)
 def test_serialize_identical_across_lanes_and_after_mutation(instruction_list):
-    """Memoized serialization never drifts from the uncached render."""
+    """Memoized serialization never drifts from a fresh copy's render."""
     fast_template = Template(list(instruction_list))
-    reference_template = Template(list(instruction_list))
-    with fastpath.fast_lanes():
-        first = fast_template.serialize()
-        again = fast_template.serialize()  # memoized path
-        fast_template.get(7)               # mutation invalidates the memo
-        mutated = fast_template.serialize()
-        fast_wire_bytes = fast_template.wire_bytes()
-    with fastpath.reference_lanes():
-        assert first == reference_template.serialize()
-        assert again == first
-        reference_template.get(7)
-        assert mutated == reference_template.serialize()
-        assert fast_wire_bytes == reference_template.wire_bytes()
+    first = fast_template.serialize()
+    again = fast_template.serialize()  # memoized path
+    fast_template.get(7)               # mutation invalidates the memo
+    mutated = fast_template.serialize()
+    fast_wire_bytes = fast_template.wire_bytes()
+    assert first == Template(list(instruction_list)).serialize()
+    assert again == first
+    mutated_copy = Template(list(instruction_list) + [GetInstruction(7)])
+    assert mutated == mutated_copy.serialize()
+    assert fast_wire_bytes == mutated_copy.wire_bytes()
 
 
 # -- assembly -----------------------------------------------------------------
 
 
 def _serve_all(wires, fast):
-    """Assemble a wire sequence on a fresh DPC under one lane."""
-    lane = fastpath.fast_lanes() if fast else fastpath.reference_lanes()
-    dpc = DynamicProxyCache(capacity=256)
+    """Assemble a wire sequence on a fresh runtime DPC, or the oracle's."""
+    dpc = (DynamicProxyCache if fast else ReferenceProxyCache)(capacity=256)
     pages = []
-    with lane:
-        for wire in wires:
-            page = dpc.process_response(wire)
-            pages.append((page.html, page.template_bytes, page.page_bytes,
-                          page.fragments_set, page.fragments_get))
+    for wire in wires:
+        page = dpc.process_response(wire)
+        pages.append((page.html, page.template_bytes, page.page_bytes,
+                      page.fragments_set, page.fragments_get))
     return pages, dpc
 
 
@@ -141,9 +133,9 @@ def _serve_all(wires, fast):
 def test_assembly_identical_across_lanes(fragments, data):
     """SET-then-GET exchanges produce identical pages, stats, and counters.
 
-    The GET-only wire is served twice so the fast lane's parse cache takes
-    a hit — the lane where :meth:`TagScanner.charge` must keep the Result 1
-    counter in lockstep with the reference lane's physical re-scan.
+    The GET-only wire is served twice so the runtime DPC's parse cache takes
+    a hit — the path where :meth:`TagScanner.charge` must keep the Result 1
+    counter in lockstep with the oracle's physical re-scan.
     """
     seen = {}
     for key, content in fragments:
@@ -153,8 +145,7 @@ def test_assembly_identical_across_lanes(fragments, data):
     for key, content in seen.items():
         set_template.literal(data.draw(text)).set(key, content)
         get_template.literal(data.draw(text)).get(key)
-    with fastpath.reference_lanes():
-        wires = [set_template.serialize()] + [get_template.serialize()] * 2
+    wires = [set_template.serialize()] + [get_template.serialize()] * 2
     fast_pages, fast_dpc = _serve_all(wires, fast=True)
     reference_pages, reference_dpc = _serve_all(wires, fast=False)
     assert fast_pages == reference_pages
@@ -163,25 +154,26 @@ def test_assembly_identical_across_lanes(fragments, data):
 
 
 def test_oversized_fragment_rejected_identically():
-    """Both lanes raise the same typed error on an oversized SET body."""
+    """Both scanners raise the same typed error on an oversized SET body."""
     config = TemplateConfig(max_fragment_bytes=64)
     wire = Template(config=config).set(3, "x" * 65)
-    with fastpath.reference_lanes():
-        oversized = wire.serialize()
-    for lane in (fastpath.fast_lanes, fastpath.reference_lanes):
-        with lane():
-            with pytest.raises(OversizedFragmentError):
-                parse_template(oversized, config)
+    oversized = wire.serialize()
+    for scanner in (TagScanner(SENTINEL), KmpTagScanner(SENTINEL)):
+        with pytest.raises(OversizedFragmentError):
+            parse_template(oversized, config, scanner=scanner)
+    for dpc in (DynamicProxyCache(template_config=config),
+                ReferenceProxyCache(template_config=config)):
+        with pytest.raises(OversizedFragmentError):
+            dpc.process_response(oversized)
 
 
 @given(text, text)
 @settings(max_examples=100)
 def test_escaped_sentinel_content_identical(prefix, suffix):
-    """Content containing the raw sentinel survives both lanes unchanged."""
+    """Content containing the raw sentinel survives both proxies unchanged."""
     content = prefix + SENTINEL + suffix + SENTINEL
-    with fastpath.reference_lanes():
-        wires = [Template().set(1, content).serialize(),
-                 Template().get(1).serialize()]
+    wires = [Template().set(1, content).serialize(),
+             Template().get(1).serialize()]
     fast_pages, _ = _serve_all(wires, fast=True)
     reference_pages, _ = _serve_all(wires, fast=False)
     assert fast_pages == reference_pages

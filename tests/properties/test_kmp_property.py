@@ -28,7 +28,7 @@ def test_kmp_matches_naive(text, pattern):
     assert kmp_find_all(text, pattern) == naive_find_all(text, pattern)
 
 
-@given(small_alphabet, patterns, st.integers(0, 60))
+@given(small_alphabet, patterns, st.integers(-60, 60))
 def test_kmp_find_matches_str_find(text, pattern, start):
     assert kmp_find(text, pattern, start) == text.find(pattern, start)
 
